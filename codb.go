@@ -242,10 +242,8 @@ type HTTPGroup struct {
 }
 
 // NetworkOptions tune every peer of the network: algorithm/ablation toggles
-// at the top level, engine knobs in the Storage, Transport, Read and HTTP
-// groups. The flat fields below the groups are the pre-group spellings,
-// kept working for existing callers; a set flat field applies unless its
-// group field is also set.
+// at the top level, engine knobs in the Storage, Transport, Read,
+// Propagation, Suspicion and HTTP groups.
 type NetworkOptions struct {
 	// MaxDepth bounds the chase's null derivation depth (0 = default,
 	// negative = unlimited); see core.Config.
@@ -282,70 +280,10 @@ type NetworkOptions struct {
 	Suspicion SuspicionGroup
 	// HTTP enables the per-peer HTTP/JSON gateways.
 	HTTP HTTPGroup
-
-	// EvalParallelism is the flat spelling of Read.EvalParallelism.
-	//
-	// Deprecated: set Read.EvalParallelism.
-	EvalParallelism int
-	// QueryCacheSize is the flat spelling of Read.QueryCacheSize.
-	//
-	// Deprecated: set Read.QueryCacheSize.
-	QueryCacheSize int
-	// DisableReadPath is the flat spelling of Read.DisableReadPath.
-	//
-	// Deprecated: set Read.DisableReadPath.
-	DisableReadPath bool
-	// Shards is the flat spelling of Storage.Shards.
-	//
-	// Deprecated: set Storage.Shards.
-	Shards int
-	// SyncOnCommit is the flat spelling of Storage.SyncOnCommit.
-	//
-	// Deprecated: set Storage.SyncOnCommit.
-	SyncOnCommit bool
-	// DisableGroupCommit is the flat spelling of Storage.DisableGroupCommit.
-	//
-	// Deprecated: set Storage.DisableGroupCommit.
-	DisableGroupCommit bool
-	// SegmentBytes is the flat spelling of Storage.SegmentBytes.
-	//
-	// Deprecated: set Storage.SegmentBytes.
-	SegmentBytes int64
-	// RetainSegments is the flat spelling of Storage.RetainSegments.
-	//
-	// Deprecated: set Storage.RetainSegments.
-	RetainSegments int
-	// ChangelogLimit is the flat spelling of Storage.ChangelogLimit.
-	//
-	// Deprecated: set Storage.ChangelogLimit.
-	ChangelogLimit int
 }
 
-// resolved folds the deprecated flat fields into their groups: a group
-// field that is set wins; an unset group field takes the flat value
-// (booleans are ORed, since set == true).
+// resolved fills in the default listen addresses.
 func (o NetworkOptions) resolved() NetworkOptions {
-	if o.Storage.Shards == 0 {
-		o.Storage.Shards = o.Shards
-	}
-	o.Storage.SyncOnCommit = o.Storage.SyncOnCommit || o.SyncOnCommit
-	o.Storage.DisableGroupCommit = o.Storage.DisableGroupCommit || o.DisableGroupCommit
-	if o.Storage.SegmentBytes == 0 {
-		o.Storage.SegmentBytes = o.SegmentBytes
-	}
-	if o.Storage.RetainSegments == 0 {
-		o.Storage.RetainSegments = o.RetainSegments
-	}
-	if o.Storage.ChangelogLimit == 0 {
-		o.Storage.ChangelogLimit = o.ChangelogLimit
-	}
-	if o.Read.EvalParallelism == 0 {
-		o.Read.EvalParallelism = o.EvalParallelism
-	}
-	if o.Read.QueryCacheSize == 0 {
-		o.Read.QueryCacheSize = o.QueryCacheSize
-	}
-	o.Read.DisableReadPath = o.Read.DisableReadPath || o.DisableReadPath
 	if o.Transport.ListenAddr == "" {
 		o.Transport.ListenAddr = "127.0.0.1:0"
 	}

@@ -272,7 +272,7 @@ func TestDifferentialIncrementalVsFullExport(t *testing.T) {
 			// snapshot-vs-live evaluation, parallel-vs-serial joins,
 			// spilled-vs-resident storage, and wire-vs-bus transport.
 			incr := networkFromTopo(t, cfg,
-				NetworkOptions{EvalParallelism: sc.par, Transport: TransportGroup{TCP: sc.tcp}},
+				NetworkOptions{Read: ReadGroup{EvalParallelism: sc.par}, Transport: TransportGroup{TCP: sc.tcp}},
 				sc.storeOptions(t))
 			defer incr.Close()
 			full := networkFromTopo(t, cfg,
@@ -463,8 +463,14 @@ func TestDifferentialPropagationPolicies(t *testing.T) {
 			if lazyLinks == 0 { // degenerate draw: force at least one lazy link
 				policies[cfg.Rules[0].ID] = "pull"
 			}
+			// Every fourth scenario runs the lazy network over real TCP
+			// sockets, so pull links whose pipe is not up yet hint on
+			// first contact instead of pushing.
 			lazy := networkFromTopo(t, cfg,
-				NetworkOptions{Propagation: PropagationGroup{Policies: policies}},
+				NetworkOptions{
+					Propagation: PropagationGroup{Policies: policies},
+					Transport:   TransportGroup{TCP: sc.tcp},
+				},
 				storage.Options{Shards: sc.shards})
 			defer lazy.Close()
 			full := networkFromTopo(t, cfg,
@@ -657,7 +663,7 @@ func TestDifferentialConcurrentQueriesSandwich(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nw := networkFromTopo(t, cfg, NetworkOptions{EvalParallelism: sc.par}, storage.Options{Shards: sc.shards})
+			nw := networkFromTopo(t, cfg, NetworkOptions{Read: ReadGroup{EvalParallelism: sc.par}}, storage.Options{Shards: sc.shards})
 			defer nw.Close()
 			names := make([]string, 0, len(cfg.Nodes))
 			for _, n := range cfg.Nodes {

@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"codb/internal/wire"
 )
 
 // postJSON posts a JSON body and decodes a JSON response, returning the
@@ -160,7 +162,8 @@ func TestGatewayEndToEnd(t *testing.T) {
 		t.Fatalf("cross-node schema: %d %v", code, body)
 	}
 
-	// Error mapping: unknown node 404, bad query 400, bad rows 400.
+	// Error mapping: unknown node 404, bad query 400, bad rows 400, body
+	// over the bound 413.
 	if code, body = getJSON(t, hospital+"/v1/schema?node=nowhere"); code != 404 {
 		t.Fatalf("unknown node: %d %v", code, body)
 	}
@@ -175,6 +178,31 @@ func TestGatewayEndToEnd(t *testing.T) {
 	if code != 400 {
 		t.Fatalf("bad row: %d %v", code, body)
 	}
+	// A body one byte over wire.MaxFrame — whitespace, then a valid object
+	// — is refused before it is decoded. Streamed so the client holds no
+	// copy.
+	oversized := io.MultiReader(
+		io.LimitReader(spaces{}, wire.MaxFrame-1),
+		strings.NewReader("{}"),
+	)
+	big, err := http.Post(hospital+"/v1/query", "application/json", oversized)
+	if err != nil {
+		t.Fatalf("oversized POST: %v", err)
+	}
+	big.Body.Close()
+	if big.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: %d, want 413", big.StatusCode)
+	}
+}
+
+// spaces is an endless source of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 // TestGatewaySentinelErrors pins the public sentinels to the Network
@@ -218,33 +246,6 @@ func TestGatewayReadyzAfterStop(t *testing.T) {
 	}
 	if msg, _ := body["error"].(string); !strings.Contains(msg, "stopped") {
 		t.Fatalf("readyz error: %v", body)
-	}
-}
-
-// TestFlatOptionsStillApply pins the deprecated flat NetworkOptions fields
-// to their group equivalents.
-func TestFlatOptionsStillApply(t *testing.T) {
-	flat := NetworkOptions{
-		Shards:          4,
-		SyncOnCommit:    true,
-		QueryCacheSize:  7,
-		DisableReadPath: true,
-		EvalParallelism: 3,
-		SegmentBytes:    1 << 20,
-		RetainSegments:  2,
-		ChangelogLimit:  9,
-	}.resolved()
-	want := StorageGroup{Shards: 4, SyncOnCommit: true, SegmentBytes: 1 << 20, RetainSegments: 2, ChangelogLimit: 9}
-	if flat.Storage != want {
-		t.Errorf("Storage = %+v, want %+v", flat.Storage, want)
-	}
-	if flat.Read != (ReadGroup{EvalParallelism: 3, QueryCacheSize: 7, DisableReadPath: true}) {
-		t.Errorf("Read = %+v", flat.Read)
-	}
-	// A set group field wins over the flat spelling.
-	both := NetworkOptions{Shards: 4, Storage: StorageGroup{Shards: 8}}.resolved()
-	if both.Storage.Shards != 8 {
-		t.Errorf("Shards = %d, want group value 8", both.Storage.Shards)
 	}
 }
 

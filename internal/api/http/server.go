@@ -54,6 +54,7 @@ import (
 	"codb/internal/cq"
 	"codb/internal/msg"
 	"codb/internal/peer"
+	"codb/internal/wire"
 )
 
 // ErrUnknownNode is the sentinel for requests addressing a node the
@@ -162,7 +163,10 @@ func (s *Server) peerFor(r *http.Request) (*peer.Peer, error) {
 
 // statusOf maps an error to its HTTP status via sentinel matching.
 func statusOf(err error) int {
+	var tooBig *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, cq.ErrBadQuery):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrUnknownNode):
@@ -190,11 +194,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // decodeBody decodes a JSON request body into dst with numbers kept exact.
-func decodeBody(r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
+// The body is bounded by wire.MaxFrame, the largest payload a peer accepts
+// over a pipe; a longer body fails with *http.MaxBytesError (413).
+func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxFrame))
 	dec.UseNumber()
 	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("%w: request body: %v", cq.ErrBadQuery, err)
+		return fmt.Errorf("%w: request body: %w", cq.ErrBadQuery, err)
 	}
 	return nil
 }
@@ -273,7 +279,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeErr(w, r, err)
 		return
 	}
@@ -374,7 +380,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req insertRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeErr(w, r, err)
 		return
 	}
@@ -409,7 +415,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req updateRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeErr(w, r, err)
 		return
 	}
@@ -543,7 +549,7 @@ func (s *Server) handleLinkPolicy(w http.ResponseWriter, r *http.Request) {
 	}
 	rule := r.PathValue("rule")
 	var req linkPolicyRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeErr(w, r, err)
 		return
 	}

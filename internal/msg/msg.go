@@ -486,7 +486,7 @@ type LinkDemand struct {
 func (m *LinkDemand) Size() int { return len(m.RuleID) + 1 }
 
 // Heartbeat announces pipe liveness: the transport emits one per interval on
-// every V2 pipe so the receiving peer's suspicion state machine can tell a
+// every pipe so the receiving peer's suspicion state machine can tell a
 // quiet-but-healthy acquaintance from a partitioned one. Like the rest of
 // the 0x20 family, heartbeats are control traffic, not basic messages: they
 // carry no session obligations and are never counted in the

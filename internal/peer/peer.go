@@ -170,9 +170,6 @@ func New(opts Options) (*Peer, error) {
 	if opts.Name == "" || opts.Transport == nil || opts.Wrapper == nil {
 		return nil, fmt.Errorf("peer: Name, Transport and Wrapper are required")
 	}
-	// The capability callback is late-bound: the node is built before the
-	// peer that answers it exists.
-	var speaks func(string) bool
 	node, err := core.NewNode(core.Config{
 		Self:                    opts.Name,
 		Wrapper:                 opts.Wrapper,
@@ -182,13 +179,7 @@ func New(opts Options) (*Peer, error) {
 		Naive:                   opts.Naive,
 		FullExport:              opts.FullExport,
 		DisableSessionSnapshots: opts.DisableSessionSnapshots,
-		LinkSpeaksPull: func(node string) bool {
-			if speaks == nil {
-				return true
-			}
-			return speaks(node)
-		},
-		Clock: func() int64 { return time.Now().UnixNano() },
+		Clock:                   func() int64 { return time.Now().UnixNano() },
 	})
 	if err != nil {
 		return nil, err
@@ -227,7 +218,6 @@ func New(opts Options) (*Peer, error) {
 		maxStaleness: opts.MaxStaleness,
 		pullTimeout:  opts.PullTimeout,
 	}
-	speaks = p.speaksPull
 	if p.pullTimeout <= 0 {
 		p.pullTimeout = DefaultPullTimeout
 	}

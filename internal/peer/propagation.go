@@ -10,8 +10,6 @@ import (
 	"codb/internal/core"
 	"codb/internal/cq"
 	"codb/internal/msg"
-	"codb/internal/transport"
-	"codb/internal/wire"
 )
 
 // DefaultPullTimeout bounds how long a local query blocks on a triggered
@@ -88,20 +86,6 @@ type PropagationStats struct {
 	StalenessP99 time.Duration `json:"staleness_p99_ns"`
 	// StalenessSamples is the number of measurements behind the quantiles.
 	StalenessSamples int `json:"staleness_samples"`
-}
-
-// speaksPull reports whether the named peer's pipe can carry the V2
-// pull-family payloads. In-process transports always can; on TCP the
-// negotiated version of the live pipe decides, and an unknown peer (no
-// handshake yet) conservatively cannot — so the first contact on a fresh
-// pull link pushes, and the link goes lazy once the pipe is up.
-func (p *Peer) speaksPull(node string) bool {
-	t, ok := rawTransport(p.tr).(*transport.TCP)
-	if !ok {
-		return true
-	}
-	v, ok := t.PeerVersion(node)
-	return ok && v >= wire.V2
 }
 
 // SetLinkPolicy configures (or reconfigures) one rule's propagation policy.
@@ -256,13 +240,6 @@ func (p *Peer) startPull(ruleID string, waiter chan pullResult) {
 		p.deliverPull(ruleID, pullResult{err: fmt.Errorf("peer %s: unknown outgoing rule %s", p.name, ruleID)}, waiter)
 		return
 	}
-	if !p.speaksPull(rule.Source) {
-		// The exporter cannot serve pulls (old peer, or no pipe yet): the
-		// link behaves as push, nothing is stale on our side of it.
-		p.clearStale(ruleID, time.Time{})
-		p.deliverPull(ruleID, pullResult{}, waiter)
-		return
-	}
 	var since uint64
 	p.prop.mu.Lock()
 	if sl := p.prop.stale[ruleID]; sl != nil {
@@ -398,10 +375,9 @@ func (p *Peer) commitLSN() uint64 {
 }
 
 // PullLink synchronously pulls one outgoing link's pending delta from its
-// exporter, returning the number of genuinely new tuples materialised. A
-// link whose exporter does not speak the pull protocol returns 0 — push
-// keeps such links fresh. Safe to call concurrently; concurrent pulls of
-// the same link coalesce onto one request.
+// exporter, returning the number of genuinely new tuples materialised.
+// Safe to call concurrently; concurrent pulls of the same link coalesce
+// onto one request.
 func (p *Peer) PullLink(ctx context.Context, ruleID string) (int, error) {
 	waiter := make(chan pullResult, 1)
 	if err := p.do(func() { p.startPull(ruleID, waiter) }); err != nil {
@@ -467,7 +443,7 @@ func (p *Peer) noteDataDelivery(ruleID string) {
 		p.prop.demandPull[ruleID] = true
 	}
 	p.prop.mu.Unlock()
-	if demote && p.speaksPull(rule.Source) {
+	if demote {
 		p.sendLinkDemand(rule, true)
 	}
 }

@@ -91,7 +91,7 @@ func TestSuspicionNoteDown(t *testing.T) {
 	}
 }
 
-// Exempt peers (V1 pipes, heartbeat-less transports) are never judged by
+// Exempt peers (on heartbeat-less transports) are never judged by
 // silence: each tick resets their timer instead.
 func TestSuspicionExemptPeersNeverSuspected(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
@@ -113,7 +113,7 @@ func TestSuspicionExemptPeersNeverSuspected(t *testing.T) {
 		t.Errorf("exempt peer state = %q, want alive", st["v1"])
 	}
 	if st["v2"] != "down" {
-		t.Errorf("silent V2 peer state = %q, want down", st["v2"])
+		t.Errorf("silent peer state = %q, want down", st["v2"])
 	}
 }
 

@@ -240,24 +240,22 @@ func decodeRelOps(payload []byte, rel string, arity int) ([]relation.Tuple, erro
 	return out, r.err
 }
 
-// Snapshot file layout: magic "cdbS", version u32, CRC u32 of body.
+// Snapshot file layout: magic "cdbS", version u32 (snapVersion), CRC u32
+// of the body. The body holds, in order:
 //
-//	v1 body: schema (uvarint count + defs), then per relation uvarint
-//	         tuple count + tuples.
-//	v2 body: v1 plus the commit LSN trailing the body, so the sequence
-//	         numbers export watermarks reference survive a checkpoint +
-//	         restart.
-//	v3 body: the shard count leads the body, then the v2 layout. Tuples
-//	         are always written in global (shard-merged) key order, so the
-//	         post-shard-count bytes are identical for every shard count —
-//	         and a v2 snapshot upgrades transparently: it is read as
-//	         "shard count unrecorded" and rewritten as v3 by the next
-//	         checkpoint.
-//	v4 body: v3 plus the checkpoint LSN trailing it — the LSN the
-//	         snapshot's contents were pinned at. Background checkpoints
-//	         write the snapshot while commits continue, so WAL records
-//	         above this LSN (and retained segments below it) coexist with
-//	         the snapshot; replay skips records at or below it.
+//   - the shard count (uvarint);
+//   - the schema (uvarint count + defs);
+//   - per relation, a uvarint tuple count + tuples, always in global
+//     (shard-merged) key order, so everything after the shard count is
+//     identical for every shard count;
+//   - the commit LSN, so the sequence numbers export watermarks reference
+//     survive a checkpoint + restart;
+//   - the checkpoint LSN the snapshot's contents were pinned at.
+//     Background checkpoints write the snapshot while commits continue,
+//     so WAL records above this LSN (and retained segments below it)
+//     coexist with the snapshot; replay skips records at or below it.
+//
+// Any other version is refused.
 var snapMagic = [4]byte{'c', 'd', 'b', 'S'}
 
 const snapVersion = 4
@@ -370,7 +368,7 @@ func (db *DB) checkpointPinned() error {
 	return nil
 }
 
-// encodeSnapshotBody renders a pinned Snapshot as a v4 snapshot body.
+// encodeSnapshotBody renders a pinned Snapshot as a snapshot body.
 // Tuples are written in global (shard-merged) key order, so the bytes
 // after the leading shard-count field are identical for every shard count
 // — and identical whether the checkpoint ran quiescent or against
@@ -390,7 +388,7 @@ func encodeSnapshotBody(snap *Snapshot, nshards int) []byte {
 		})
 	}
 	body = binary.AppendUvarint(body, snap.lsn)
-	body = binary.AppendUvarint(body, snap.lsn) // v4: the checkpoint LSN
+	body = binary.AppendUvarint(body, snap.lsn) // the checkpoint LSN
 	return body
 }
 
@@ -407,30 +405,26 @@ func (db *DB) loadSnapshot(path string) error {
 	if len(data) < 12 || [4]byte(data[:4]) != snapMagic {
 		return fmt.Errorf("storage: %s: not a snapshot file", path)
 	}
-	version := binary.LittleEndian.Uint32(data[4:8])
-	if version < 1 || version > snapVersion {
+	if version := binary.LittleEndian.Uint32(data[4:8]); version != snapVersion {
 		return fmt.Errorf("storage: %s: unsupported snapshot version %d", path, version)
 	}
-	db.recoveredSnapVersion = version
 	body := data[12:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[8:12]) {
 		return fmt.Errorf("storage: %s: snapshot checksum mismatch", path)
 	}
 	r := &reader{b: body}
-	if version >= 3 {
-		recorded := r.uvarint()
-		if r.err != nil {
-			return r.err
-		}
-		if recorded < 1 || recorded > maxShards {
-			return fmt.Errorf("storage: %s: recorded shard count %d out of range", path, recorded)
-		}
-		// Options.Shards == 0 means "keep the database's own sharding";
-		// an explicit option reshards on load (routing is key-determined,
-		// so any count reproduces the same logical contents).
-		if db.opts.Shards == 0 {
-			db.nshards = int(recorded)
-		}
+	recorded := r.uvarint()
+	if r.err != nil {
+		return r.err
+	}
+	if recorded < 1 || recorded > maxShards {
+		return fmt.Errorf("storage: %s: recorded shard count %d out of range", path, recorded)
+	}
+	// Options.Shards == 0 means "keep the database's own sharding"; an
+	// explicit option reshards on load (routing is key-determined, so any
+	// count reproduces the same logical contents).
+	if db.opts.Shards == 0 {
+		db.nshards = int(recorded)
 	}
 	nrels := r.uvarint()
 	defs := make([]*relation.RelDef, 0, nrels)
@@ -460,15 +454,10 @@ func (db *DB) loadSnapshot(path string) error {
 			t.shardFor(string(enc)).insert(tuple)
 		}
 	}
-	if version >= 2 {
-		db.lsn = r.uvarint()
-	}
+	db.lsn = r.uvarint()
 	db.recoveredCkpt = db.lsn
-	if version >= 4 {
-		ckpt := r.uvarint()
-		if r.err == nil && ckpt < db.recoveredCkpt {
-			db.recoveredCkpt = ckpt
-		}
+	if ckpt := r.uvarint(); r.err == nil && ckpt < db.recoveredCkpt {
+		db.recoveredCkpt = ckpt
 	}
 	if r.err != nil {
 		return r.err

@@ -1,14 +1,15 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"codb/internal/relation"
-	"codb/internal/wal"
 )
 
 func openDurable(t *testing.T, dir string, opts Options) *DB {
@@ -172,113 +173,61 @@ func TestTornWALTailRecovers(t *testing.T) {
 }
 
 func TestCorruptSnapshotRejected(t *testing.T) {
-	dir := t.TempDir()
-	db := openDurable(t, dir, Options{})
-	db.DefineRelation(empDef())
-	db.Insert("emp", emp(1, "a"))
-	db.Checkpoint()
-	db.Close()
-
-	path := filepath.Join(dir, snapshotName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xFF
-	os.WriteFile(path, data, 0o644)
-
-	if _, err := Open(Options{Dir: dir}); err == nil {
-		t.Fatal("corrupt snapshot accepted")
-	}
-}
-
-func TestLegacyWALMigration(t *testing.T) {
-	// A pre-segment database directory holds a single "log.wal". Opening
-	// it must replay the records, checkpoint them into a snapshot, delete
-	// the legacy file and continue on segments.
-	dir := t.TempDir()
-	l, err := wal.Create(filepath.Join(dir, logName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range [][]byte{
-		encodeDDL(empDef()),
-		encodeOps([]op{{opInsert, "emp", emp(1, "a")}}),
-		encodeOps([]op{{opInsert, "emp", emp(2, "b")}, {opDelete, "emp", emp(1, "a")}}),
-	} {
-		if err := l.Append(rec); err != nil {
-			t.Fatal(err)
+	setVersion := func(v uint32) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			path := filepath.Join(dir, snapshotName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint32(data[4:8], v)
+			os.WriteFile(path, data, 0o644)
 		}
 	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		damage  func(t *testing.T, dir string)
+		wantErr string
+	}{
+		{"flipped-body-byte", func(t *testing.T, dir string) {
+			path := filepath.Join(dir, snapshotName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)-1] ^= 0xFF
+			os.WriteFile(path, data, 0o644)
+		}, "checksum mismatch"},
+		// Older snapshot formats are refused, not read.
+		{"snapshot-v1", setVersion(1), "unsupported snapshot version"},
+		{"snapshot-v2", setVersion(2), "unsupported snapshot version"},
+		{"snapshot-v3", setVersion(3), "unsupported snapshot version"},
+		// A pre-segment single-file log would open with its records
+		// missing; it must be refused by name instead.
+		{"legacy-log-wal", func(t *testing.T, dir string) {
+			if err := os.WriteFile(filepath.Join(dir, "log.wal"), []byte("cdbW\x01\x00\x00\x00"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "log.wal"},
 	}
-	l.Close()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db := openDurable(t, dir, Options{})
+			db.DefineRelation(empDef())
+			db.Insert("emp", emp(1, "a"))
+			db.Checkpoint()
+			db.Close()
 
-	db := openDurable(t, dir, Options{})
-	if db.Count("emp") != 1 || !db.Has("emp", emp(2, "b")) || db.Has("emp", emp(1, "a")) {
-		t.Fatalf("migrated contents wrong: count=%d", db.Count("emp"))
-	}
-	if got := db.LSN(); got != 3 {
-		t.Fatalf("migrated LSN = %d, want 3", got)
-	}
-	if _, err := os.Stat(filepath.Join(dir, logName)); !os.IsNotExist(err) {
-		t.Fatalf("legacy log.wal not removed: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotName)); err != nil {
-		t.Fatalf("migration checkpoint missing: %v", err)
-	}
-	if _, err := db.Insert("emp", emp(3, "c")); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-
-	db2 := openDurable(t, dir, Options{})
-	defer db2.Close()
-	if db2.Count("emp") != 2 || !db2.Has("emp", emp(3, "c")) {
-		t.Fatalf("post-migration restart lost data: count=%d", db2.Count("emp"))
-	}
-}
-
-func TestLegacyWALRemnantAfterMigrationCrash(t *testing.T) {
-	// Crash window inside the migration itself: the v4 checkpoint landed
-	// but log.wal was not yet deleted. The remnant's records are already
-	// snapshot-covered; replaying them would double-apply under inflated
-	// LSNs, so the next open must discard the file instead.
-	dir := t.TempDir()
-	l, err := wal.Create(filepath.Join(dir, logName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Append(encodeDDL(empDef()))
-	l.Append(encodeOps([]op{{opInsert, "emp", emp(1, "a")}}))
-	l.Sync()
-	l.Close()
-	db := openDurable(t, dir, Options{}) // migrates: replay, v4 checkpoint, delete
-	wantLSN := db.LSN()
-	db.Close()
-
-	// Resurrect the legacy file next to the v4 snapshot, as the crash
-	// would have left it.
-	l2, err := wal.Create(filepath.Join(dir, logName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2.Append(encodeDDL(empDef()))
-	l2.Append(encodeOps([]op{{opInsert, "emp", emp(1, "a")}}))
-	l2.Sync()
-	l2.Close()
-
-	db2 := openDurable(t, dir, Options{})
-	defer db2.Close()
-	if got := db2.LSN(); got != wantLSN {
-		t.Fatalf("LSN after remnant open = %d, want %d (no double replay)", got, wantLSN)
-	}
-	if db2.Count("emp") != 1 {
-		t.Fatalf("Count = %d", db2.Count("emp"))
-	}
-	if _, err := os.Stat(filepath.Join(dir, logName)); !os.IsNotExist(err) {
-		t.Fatalf("legacy remnant not discarded: %v", err)
+			tc.damage(t, dir)
+			_, err := Open(Options{Dir: dir})
+			if err == nil {
+				t.Fatal("damaged or legacy state accepted")
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Open = %v, want an error mentioning %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -202,7 +201,7 @@ func TestShardedRecoveryByteIdentical(t *testing.T) {
 			db.Insert("emp", emp(i, fmt.Sprintf("p%d", i%11)))
 		}
 		db.Checkpoint()
-		// Post-checkpoint commits exercise WAL replay on top of the v3
+		// Post-checkpoint commits exercise WAL replay on top of the
 		// snapshot.
 		for i := 200; i < 260; i++ {
 			db.Insert("emp", emp(i, "wal"))
@@ -263,83 +262,39 @@ func TestShardedRecoveryByteIdentical(t *testing.T) {
 	if !bytes.Equal(tail(1), tail(4)) || !bytes.Equal(tail(1), tail(16)) {
 		t.Fatal("snapshot bodies depend on the shard count")
 	}
-}
 
-// TestSnapshotV2Upgrade feeds the engine a hand-built v2 snapshot (the
-// pre-sharding format: no shard count, LSN trailing) and checks the
-// transparent upgrade: contents and LSN load, the next checkpoint rewrites
-// v3, and a reopen on the v3 file sees identical scans.
-func TestSnapshotV2Upgrade(t *testing.T) {
-	dir := t.TempDir()
-	// v2 body: schema, tuples (key order), LSN.
-	def := empDef()
-	tuples := []relation.Tuple{emp(1, "a"), emp(2, "b"), emp(3, "c")}
-	body := binary.AppendUvarint(nil, 1)
-	body = encodeDef(body, def)
-	body = binary.AppendUvarint(body, uint64(len(tuples)))
-	for _, tp := range tuples {
-		body = putBytes(body, []byte(tp.Key()))
-	}
-	const v2LSN = 41
-	body = binary.AppendUvarint(body, v2LSN)
-	var hdr [12]byte
-	copy(hdr[:4], snapMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], 2)
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(body))
-	if err := os.WriteFile(filepath.Join(dir, snapshotName), append(hdr[:], body...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	db, err := Open(Options{Dir: dir, Shards: 4})
-	if err != nil {
-		t.Fatalf("v2 snapshot rejected: %v", err)
-	}
-	if got := db.LSN(); got != v2LSN {
-		t.Fatalf("LSN after v2 load = %d, want %d", got, v2LSN)
-	}
-	preKeys := scanKeys(t, db, "emp")
-	if len(preKeys) != len(tuples) {
-		t.Fatalf("v2 load recovered %d tuples, want %d", len(preKeys), len(tuples))
-	}
-	db.Insert("emp", emp(4, "d"))
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// The rewritten snapshot is v3 and records the shard count.
-	data, err := os.ReadFile(filepath.Join(dir, snapshotName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != snapVersion {
-		t.Fatalf("post-upgrade snapshot version = %d, want %d", v, snapVersion)
-	}
-	recorded, _ := binary.Uvarint(data[12:])
-	if recorded != 4 {
-		t.Fatalf("recorded shard count = %d, want 4", recorded)
-	}
-	wantKeys := scanKeys(t, db, "emp")
-	db.Close()
-
-	// Shards=0 adopts the recorded count; scans stay byte-identical.
-	re, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Shards() != 4 {
-		t.Fatalf("reopen adopted %d shards, want 4", re.Shards())
-	}
-	gotKeys := scanKeys(t, re, "emp")
-	if len(gotKeys) != len(wantKeys) {
-		t.Fatalf("post-upgrade recovery: %d keys, want %d", len(gotKeys), len(wantKeys))
-	}
-	for i := range gotKeys {
-		if gotKeys[i] != wantKeys[i] {
-			t.Fatalf("post-upgrade key %d diverges", i)
+	// Resharding on load: an explicit Shards option overrides the recorded
+	// count (and the next checkpoint records the new one), while
+	// Shards=0 adopts whatever the snapshot recorded. Contents never
+	// change.
+	for _, c := range []struct{ opt, want int }{{16, 16}, {0, 16}} {
+		re, err := Open(Options{Dir: dirs[4], Shards: c.opt})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if re.LSN() != v2LSN+1 { // v2 LSN + one insert
-		t.Fatalf("post-upgrade LSN = %d, want %d", re.LSN(), v2LSN+1)
+		if re.Shards() != c.want {
+			t.Fatalf("Shards=%d: opened with %d shards, want %d", c.opt, re.Shards(), c.want)
+		}
+		keys := scanKeys(t, re, "emp")
+		if len(keys) != len(refKeys) {
+			t.Fatalf("Shards=%d: recovered %d keys, ref %d", c.opt, len(keys), len(refKeys))
+		}
+		for i := range keys {
+			if keys[i] != refKeys[i] {
+				t.Fatalf("Shards=%d: recovered key %d diverges", c.opt, i)
+			}
+		}
+		if err := re.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		re.Close()
+		data, err := os.ReadFile(filepath.Join(dirs[4], snapshotName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recorded, _ := binary.Uvarint(data[12:]); recorded != uint64(c.want) {
+			t.Fatalf("Shards=%d: snapshot records %d shards, want %d", c.opt, recorded, c.want)
+		}
 	}
 }
 

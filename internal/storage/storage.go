@@ -113,11 +113,8 @@ type DB struct {
 	ckptErr   error
 	// recoveredCkpt is the checkpoint LSN the last loaded snapshot
 	// recorded: WAL replay skips records at or below it (they may survive
-	// in retained segments). recoveredSnapVersion is that snapshot's
-	// format version (0 when none was found), which gates the legacy
-	// log.wal migration.
-	recoveredCkpt        uint64
-	recoveredSnapVersion uint32
+	// in retained segments).
+	recoveredCkpt uint64
 
 	// spillHits / spillMisses count Changes calls served from retained
 	// WAL segments and ones that found the segment window unavailable.
@@ -153,10 +150,7 @@ type DB struct {
 	commitsSinceCheckpoint atomic.Int64
 }
 
-const (
-	snapshotName = "snapshot.cdb"
-	logName      = "log.wal"
-)
+const snapshotName = "snapshot.cdb"
 
 // Open opens (or creates) a database. With a Dir, prior state is recovered
 // from the snapshot and WAL in that directory.
@@ -177,14 +171,16 @@ func Open(opts Options) (*DB, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: mkdir: %w", err)
 	}
+	// The pre-segment single-file log is no longer read: opening without
+	// its records would silently lose them, so refuse instead.
+	legacy := filepath.Join(opts.Dir, "log.wal")
+	if _, err := os.Stat(legacy); err == nil {
+		return nil, fmt.Errorf("storage: %s: unsupported legacy single-file WAL", legacy)
+	}
 	// A crash can leave a half-written snapshot behind; it was never
 	// renamed into place, so it holds nothing durable.
 	os.Remove(filepath.Join(opts.Dir, snapshotName) + ".tmp")
 	if err := db.loadSnapshot(filepath.Join(opts.Dir, snapshotName)); err != nil {
-		return nil, err
-	}
-	migrate, err := db.replayLegacyLog()
-	if err != nil {
 		return nil, err
 	}
 	log, err := wal.OpenSegmented(opts.Dir, db.lsn,
@@ -194,16 +190,6 @@ func Open(opts Options) (*DB, error) {
 	}
 	db.log = log
 	db.visible = db.lsn
-	if migrate {
-		// The legacy records live nowhere but the old file: checkpoint the
-		// replayed state before dropping it. One-time, at open, unshared —
-		// the stop-the-world cost is irrelevant here.
-		if err := db.checkpointPinned(); err != nil {
-			db.log.Close()
-			return nil, fmt.Errorf("storage: migrate legacy wal: %w", err)
-		}
-		os.Remove(filepath.Join(opts.Dir, logName))
-	}
 	// The group-commit pipeline only pays when there are fsyncs to share;
 	// without SyncOnCommit the inline append under commitMu is cheaper
 	// than a cross-goroutine round-trip per commit.
@@ -211,36 +197,6 @@ func Open(opts Options) (*DB, error) {
 		db.group = wal.NewGroupCommitter(log)
 	}
 	return db, nil
-}
-
-// replayLegacyLog migrates a pre-segment "log.wal" file: its records are
-// replayed on top of the snapshot and the caller then checkpoints and
-// deletes the file. Reports whether a legacy log was found and replayed.
-//
-// Legacy records carry no LSNs, so a record cannot individually be
-// recognised as checkpoint-covered. Instead the snapshot version
-// disambiguates the migration crash window: only the new engine writes v4
-// snapshots, and it deletes log.wal right after its first one — so a
-// log.wal alongside a v4 snapshot is a remnant whose every record that
-// checkpoint already covers, and replaying it would double-apply them
-// under inflated LSNs. It is discarded instead.
-func (db *DB) replayLegacyLog() (bool, error) {
-	path := filepath.Join(db.opts.Dir, logName)
-	if _, err := os.Stat(path); err != nil {
-		return false, nil
-	}
-	if db.recoveredSnapVersion >= 4 {
-		os.Remove(path)
-		return false, nil
-	}
-	l, err := wal.Open(path, func(payload []byte) error {
-		return db.applyLogRecord(db.lsn+1, payload)
-	})
-	if err != nil {
-		return false, err
-	}
-	l.Close()
-	return true, nil
 }
 
 // MustOpenMem opens a memory-only database, panicking on error; convenience

@@ -267,6 +267,10 @@ func TestTCPManyMessagesBothDirections(t *testing.T) {
 	if err := a.Connect("b", b.Addr()); err != nil {
 		t.Fatal(err)
 	}
+	// Connect returns once a has registered its end; b registers the
+	// accepted pipe just after writing its hello, so b cannot send to a
+	// until then.
+	waitFor(t, func() bool { return len(b.Peers()) == 1 })
 	const n = 500
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -367,5 +371,47 @@ func TestBusManyNodesFanout(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		cols[i].wait(t, 1)
+	}
+}
+
+// TestTCPHeartbeatsReachEveryPipe: a transport emitting heartbeats sends them
+// on every live pipe, inbound and outbound alike, with one increasing
+// sequence; a second StartHeartbeats does not start a second emitter.
+func TestTCPHeartbeatsReachEveryPipe(t *testing.T) {
+	h, _ := NewTCP("h", "127.0.0.1:0")
+	defer h.Close()
+	a, _ := NewTCP("a", "127.0.0.1:0")
+	defer a.Close()
+	c, _ := NewTCP("c", "127.0.0.1:0")
+	defer c.Close()
+	var gotA, gotC collector
+	a.SetHandler(gotA.handler)
+	c.SetHandler(gotC.handler)
+	if err := a.Connect("h", h.Addr()); err != nil { // inbound at h
+		t.Fatal(err)
+	}
+	if err := h.Connect("c", c.Addr()); err != nil { // outbound at h
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return len(h.Peers()) == 2 })
+	h.StartHeartbeats(2 * time.Millisecond)
+	h.StartHeartbeats(2 * time.Millisecond)
+
+	for name, got := range map[string]*collector{"a": &gotA, "c": &gotC} {
+		envs := got.wait(t, 5)
+		var last uint64
+		for i, env := range envs {
+			hb, ok := env.Payload.(*msg.Heartbeat)
+			if !ok || env.From != "h" {
+				t.Fatalf("%s: envelope %d = %+v from %q, want a heartbeat from h", name, i, env.Payload, env.From)
+			}
+			if hb.Seq <= last {
+				t.Fatalf("%s: heartbeat seq %d after %d", name, hb.Seq, last)
+			}
+			last = hb.Seq
+		}
+	}
+	if got := a.Peers(); len(got) != 1 || got[0] != "h" {
+		t.Errorf("a.Peers = %v after heartbeats", got)
 	}
 }

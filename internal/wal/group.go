@@ -21,7 +21,7 @@ import (
 type GroupCommitter struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	log    Sink
+	log    *Segmented
 	queue  []groupReq
 	closed bool
 	err    error // sticky writer-side failure, reported to later commits
@@ -32,15 +32,6 @@ type GroupCommitter struct {
 	fsyncEWMA time.Duration
 
 	done chan struct{} // writer goroutine exited
-}
-
-// Sink is the log the group committer writes through. Both the legacy Log
-// and the Segmented WAL implement it; with Segmented, rotation happens
-// inside AppendBatch, so the committer needs no retargeting when the
-// active segment changes.
-type Sink interface {
-	AppendBatch(payloads [][]byte) error
-	Sync() error
 }
 
 // groupReq is one enqueued commit record. done is buffered so the writer
@@ -74,8 +65,10 @@ type GroupStats struct {
 // commit latency to form a batch.
 const maxBatchWindow = time.Millisecond
 
-// NewGroupCommitter starts the pipeline over an open log.
-func NewGroupCommitter(l Sink) *GroupCommitter {
+// NewGroupCommitter starts the pipeline over an open log. Rotation happens
+// inside Segmented.AppendBatch, so the committer needs no retargeting when
+// the active segment changes.
+func NewGroupCommitter(l *Segmented) *GroupCommitter {
 	g := &GroupCommitter{log: l, done: make(chan struct{})}
 	g.cond = sync.NewCond(&g.mu)
 	go g.run()

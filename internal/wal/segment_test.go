@@ -1,11 +1,14 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -387,5 +390,264 @@ func TestSegmentedEmptyDirCreatesFirstSegment(t *testing.T) {
 	}
 	if names := segFiles(t, dir); len(names) != 1 || names[0] != segName(1) {
 		t.Fatalf("segment files = %v", names)
+	}
+}
+
+func TestSegmentedAppendAfterReopen(t *testing.T) {
+	dir := t.TempDir()
+	g, _ := openSeg(t, dir, 0, SegmentedOptions{})
+	g.Append([]byte("a"))
+	g.Close()
+
+	g, _ = openSeg(t, dir, 0, SegmentedOptions{})
+	g.Append([]byte("b"))
+	g.Close()
+
+	g, got := openSeg(t, dir, 0, SegmentedOptions{})
+	defer g.Close()
+	if len(got) != 2 || got[1] != "a" || got[2] != "b" {
+		t.Errorf("replay = %v", got)
+	}
+}
+
+func TestSegmentedMidSegmentCorruptionDetected(t *testing.T) {
+	dir := t.TempDir()
+	g, _ := openSeg(t, dir, 0, SegmentedOptions{})
+	g.Append([]byte("aaaa"))
+	g.Append([]byte("bbbb"))
+	g.Close()
+
+	// Flip a payload byte of the FIRST record: a CRC break with intact
+	// data after it is corruption, not a torn tail.
+	path := filepath.Join(dir, segName(1))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[segHeaderSize+recPrefix] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSegmented(dir, 0, SegmentedOptions{}, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open = %v, want ErrCorrupt", err)
+	}
+}
+
+func TestSegmentedApplyErrorPropagates(t *testing.T) {
+	dir := t.TempDir()
+	g, _ := openSeg(t, dir, 0, SegmentedOptions{})
+	g.Append([]byte("x"))
+	g.Close()
+	boom := errors.New("boom")
+	if _, err := OpenSegmented(dir, 0, SegmentedOptions{}, func(uint64, []byte) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("Open = %v, want wrapped boom", err)
+	}
+}
+
+func TestSegmentedEmptyPayload(t *testing.T) {
+	dir := t.TempDir()
+	g, _ := openSeg(t, dir, 0, SegmentedOptions{})
+	g.Append(nil)
+	g.Append([]byte("after-empty"))
+	g.Close()
+	g, got := openSeg(t, dir, 0, SegmentedOptions{})
+	defer g.Close()
+	if len(got) != 2 || got[1] != "" || got[2] != "after-empty" {
+		t.Errorf("replay = %q", got)
+	}
+}
+
+func TestSegmentedManyRecords(t *testing.T) {
+	dir := t.TempDir()
+	g, _ := openSeg(t, dir, 0, SegmentedOptions{SegmentBytes: 16 << 10})
+	const n = 5000
+	for i := 0; i < n; i++ {
+		if err := g.Append([]byte(fmt.Sprintf("record-%d", i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Close()
+	count := 0
+	g, err := OpenSegmented(dir, 0, SegmentedOptions{}, func(lsn uint64, p []byte) error {
+		if string(p) != fmt.Sprintf("record-%d", lsn) {
+			return fmt.Errorf("lsn %d = %q", lsn, p)
+		}
+		count++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if count != n {
+		t.Errorf("replayed %d of %d", count, n)
+	}
+}
+
+// fourSegments writes four 40-byte records into 64-byte segments, so each
+// record seals its own segment, and returns the segment file names.
+func fourSegments(t *testing.T, dir string) []string {
+	t.Helper()
+	g, _ := openSeg(t, dir, 0, SegmentedOptions{SegmentBytes: 64})
+	payload := make([]byte, 40)
+	for i := 0; i < 4; i++ {
+		if err := g.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Close()
+	names := segFiles(t, dir)
+	if len(names) < 3 {
+		t.Fatalf("test needs at least three segments, have %v", names)
+	}
+	return names
+}
+
+// rewriteHeader replaces the header of a segment file in place.
+func rewriteHeader(t *testing.T, path string, hdr []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, hdr)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSegmentedBadMagicRejected(t *testing.T) {
+	// A non-final segment whose magic is wrong is damage, not a crash
+	// mid-rotation: acknowledged records follow it, so open refuses.
+	dir := t.TempDir()
+	names := fourSegments(t, dir)
+	path := filepath.Join(dir, names[0])
+	hdr := encodeSegHeader(1)
+	copy(hdr, "XXXX")
+	rewriteHeader(t, path, hdr)
+	_, err := OpenSegmented(dir, 0, SegmentedOptions{}, nil)
+	if err == nil || !strings.Contains(err.Error(), "bad segment header") {
+		t.Fatalf("Open = %v, want bad segment header", err)
+	}
+	if _, statErr := os.Stat(path); statErr != nil {
+		t.Fatalf("damaged segment removed: %v", statErr)
+	}
+}
+
+func TestSegmentedFutureVersionRefused(t *testing.T) {
+	// A well-formed header from another format version is refused even on
+	// the last segment, where an unreadable header would be discarded as a
+	// crash mid-rotation: the file holds records this build cannot read.
+	dir := t.TempDir()
+	names := fourSegments(t, dir)
+	last := filepath.Join(dir, names[len(names)-1])
+	data, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, ok, err := parseSegHeader(data)
+	if !ok || err != nil {
+		t.Fatalf("intact header: ok=%v err=%v", ok, err)
+	}
+	hdr := encodeSegHeader(first)
+	binary.LittleEndian.PutUint32(hdr[4:8], segVersion+1)
+	binary.LittleEndian.PutUint32(hdr[16:], crc32.ChecksumIEEE(hdr[:16]))
+	rewriteHeader(t, last, hdr)
+
+	_, err = OpenSegmented(dir, 0, SegmentedOptions{}, nil)
+	if err == nil || !strings.Contains(err.Error(), "unsupported segment version") {
+		t.Fatalf("Open = %v, want unsupported segment version", err)
+	}
+	if _, statErr := os.Stat(last); statErr != nil {
+		t.Fatalf("future-version segment removed: %v", statErr)
+	}
+}
+
+func TestSegmentedIndexGapRefused(t *testing.T) {
+	// Segment files are chained by index; a missing middle file is a hole
+	// in the log whatever the checkpoint covers.
+	dir := t.TempDir()
+	names := fourSegments(t, dir)
+	if err := os.Remove(filepath.Join(dir, names[1])); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenSegmented(dir, 100, SegmentedOptions{}, nil)
+	if err == nil || !strings.Contains(err.Error(), "segment gap") {
+		t.Fatalf("Open = %v, want segment gap", err)
+	}
+}
+
+func TestSegmentedOverlappingFirstLSNRefused(t *testing.T) {
+	// A segment whose (CRC-valid) first LSN lies inside the previous
+	// segment's records would give two records one LSN.
+	dir := t.TempDir()
+	names := fourSegments(t, dir)
+	rewriteHeader(t, filepath.Join(dir, names[1]), encodeSegHeader(1))
+	_, err := OpenSegmented(dir, 0, SegmentedOptions{}, nil)
+	if err == nil || !strings.Contains(err.Error(), "overlaps previous segment") {
+		t.Fatalf("Open = %v, want overlap refusal", err)
+	}
+}
+
+func TestSegmentedStaleEmptyTailHeaderRewritten(t *testing.T) {
+	// An empty segment created before the checkpoint advanced carries a
+	// stale first LSN; reopening past it rewrites the header in place
+	// instead of rotating, so the next record lands at base+1.
+	dir := t.TempDir()
+	g, _ := openSeg(t, dir, 0, SegmentedOptions{})
+	g.Close()
+
+	g2, _ := openSeg(t, dir, 10, SegmentedOptions{})
+	if st := g2.Stats(); st.Segments != 1 || st.NextLSN != 11 {
+		t.Fatalf("stats after reopen = %+v", st)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, ok, err := parseSegHeader(data); !ok || err != nil || first != 11 {
+		t.Fatalf("header first lsn = %d (ok=%v err=%v), want 11", first, ok, err)
+	}
+	if err := g2.Append([]byte("r11")); err != nil {
+		t.Fatal(err)
+	}
+	g2.Close()
+
+	g3, got := openSeg(t, dir, 10, SegmentedOptions{})
+	defer g3.Close()
+	if len(got) != 1 || got[11] != "r11" {
+		t.Fatalf("replay = %v, want lsn 11 = r11", got)
+	}
+	if names := segFiles(t, dir); len(names) != 1 {
+		t.Fatalf("segment files = %v, want one", names)
+	}
+}
+
+func TestSegmentedIgnoresForeignFiles(t *testing.T) {
+	// The WAL shares its directory with the snapshot and other files; only
+	// names of the exact segment form take part in recovery.
+	dir := t.TempDir()
+	g, _ := openSeg(t, dir, 0, SegmentedOptions{})
+	g.Append([]byte("a"))
+	g.Close()
+	foreign := []string{"snapshot.db", "wal.", "wal.tmp", "wal.000002x", "log.wal"}
+	for _, name := range foreign {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("junk"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g2, got := openSeg(t, dir, 0, SegmentedOptions{})
+	if len(got) != 1 || got[1] != "a" {
+		t.Fatalf("replay = %v", got)
+	}
+	if err := g2.Append([]byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	g2.Close()
+	for _, name := range foreign {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || string(data) != "junk" {
+			t.Fatalf("foreign file %s disturbed: %q, %v", name, data, err)
+		}
 	}
 }

@@ -1,16 +1,12 @@
-// Package wal implements the write-ahead logs used by the storage engine
-// for durability.
+// Package wal implements the segmented write-ahead log the storage engine
+// uses for durability (see segment.go): a directory of numbered
+// append-only segment files whose headers carry the LSN of their first
+// record, rotated at a size threshold and truncated by checkpoints. This
+// file holds the record framing the segments share.
 //
-// The current log format is the segmented WAL (see segment.go): a directory
-// of numbered append-only segment files whose headers carry the LSN of
-// their first record, rotated at a size threshold and truncated by
-// checkpoints. The single-file Log in this file is the legacy (pre-segment)
-// format; it is retained so old "log.wal" files can be replayed once and
-// migrated, and as the simplest harness for the shared record framing.
+// Record layout:
 //
-// Record layout (shared by both formats):
-//
-//	--- file header (format-specific, see headerSize/segHeaderSize) ---
+//	--- segment header (see segHeaderSize) ---
 //	--- per record ---
 //	length  uint32   payload length
 //	crc     uint32   IEEE CRC-32 of payload
@@ -26,16 +22,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 )
 
 var magic = [4]byte{'c', 'd', 'b', 'W'}
-
-const legacyVersion = 1
-
-// headerSize is the legacy file header length in bytes.
-const headerSize = 8
 
 // recPrefix is the per-record framing length (u32 length + u32 CRC).
 const recPrefix = 8
@@ -106,116 +96,6 @@ func scanRecords(buf []byte, fn func(payload []byte) error) (end int, torn bool,
 		off += recPrefix + length
 	}
 }
-
-// Log is the legacy single-file append-only write-ahead log. Append and
-// Sync may be called from one goroutine at a time; the storage engine
-// serialises them. New databases use Segmented instead; Log remains for
-// migrating old "log.wal" files and for tests of the shared framing.
-type Log struct {
-	f    *os.File
-	path string
-	size int64
-}
-
-// Create creates (or truncates) a legacy log file at path and writes the
-// header.
-func Create(path string) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: create: %w", err)
-	}
-	var hdr [headerSize]byte
-	copy(hdr[:4], magic[:])
-	binary.LittleEndian.PutUint32(hdr[4:], legacyVersion)
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: write header: %w", err)
-	}
-	return &Log{f: f, path: path, size: headerSize}, nil
-}
-
-// Open opens an existing legacy log for appending. It validates the header,
-// replays every intact record through apply, truncates a torn tail if
-// present, and positions the log for appending. A missing file is created
-// fresh.
-func Open(path string, apply func(payload []byte) error) (*Log, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return Create(path)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("wal: open: %w", err)
-	}
-	if len(data) < headerSize {
-		// Empty or truncated header: re-create.
-		return Create(path)
-	}
-	if [4]byte(data[:4]) != magic {
-		return nil, fmt.Errorf("wal: %s: bad magic", path)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != legacyVersion {
-		return nil, fmt.Errorf("wal: %s: unsupported version %d", path, v)
-	}
-	n, _, err := scanRecords(data[headerSize:], apply)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %s: %w", path, err)
-	}
-	offset := int64(headerSize + n)
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open: %w", err)
-	}
-	if err := f.Truncate(offset); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: seek: %w", err)
-	}
-	return &Log{f: f, path: path, size: offset}, nil
-}
-
-// Append writes one record. The payload is copied into the OS buffer before
-// Append returns; call Sync for durability.
-func (l *Log) Append(payload []byte) error {
-	if _, err := l.f.Write(frameRecord(nil, payload)); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	l.size += recPrefix + int64(len(payload))
-	return nil
-}
-
-// AppendBatch writes several records with a single underlying write call.
-// Equivalent to calling Append for each payload in order.
-func (l *Log) AppendBatch(payloads [][]byte) error {
-	if len(payloads) == 0 {
-		return nil
-	}
-	buf := frameBatch(payloads)
-	if _, err := l.f.Write(buf); err != nil {
-		return fmt.Errorf("wal: append batch: %w", err)
-	}
-	l.size += int64(len(buf))
-	return nil
-}
-
-// Sync flushes the log to stable storage.
-func (l *Log) Sync() error {
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
-	}
-	return nil
-}
-
-// Size returns the current log size in bytes (header included).
-func (l *Log) Size() int64 { return l.size }
-
-// Close closes the underlying file without syncing.
-func (l *Log) Close() error { return l.f.Close() }
-
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
 
 // syncDir fsyncs a directory so entry creation/removal inside it is
 // durable (best effort on filesystems without directory sync).

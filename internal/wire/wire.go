@@ -24,7 +24,10 @@
 // sender's maximum) carrying the sender's node name and supported version
 // range [Min, Max]. Each side computes the negotiated version as
 // min(Max_a, Max_b); the handshake fails unless that is >= max(Min_a,
-// Min_b). Every subsequent frame on the connection must carry exactly the
+// Min_b). This implementation offers the single version 2
+// (MinVersion = MaxVersion), so a peer whose range excludes it — the
+// retired version 1, or a future one — is refused before any payload
+// flows. Every subsequent frame on the connection must carry exactly the
 // negotiated version; anything else — wrong version, unknown type, bad
 // magic or CRC — fails the pipe cleanly.
 package wire
@@ -44,23 +47,13 @@ const Magic uint16 = 0xC0DB
 // HeaderLen is the fixed frame header size in bytes.
 const HeaderLen = 12
 
-// Protocol versions this implementation speaks.
+// MinVersion and MaxVersion bound the protocol version range offered in
+// the handshake. The protocol has one version: the header above with
+// internal/msg binary payload bodies. A peer whose range does not include
+// it is refused at the handshake.
 const (
-	// V1 is the first frame protocol version: the header above with
-	// internal/msg binary payload bodies (tags 0x10–0x1F).
-	V1 = 1
-
-	// V2 adds the pull-propagation payload family (msg tags 0x20+:
-	// UpdateHint, PullRequest, PullResponse, LinkDemand). The frame layout
-	// is unchanged; a connection negotiated at V1 simply never carries
-	// those tags — the peer layer degrades pull links to push toward
-	// V1-only peers.
-	V2 = 2
-
-	// MinVersion and MaxVersion bound the supported range offered in the
-	// handshake.
-	MinVersion = V1
-	MaxVersion = V2
+	MinVersion = 2
+	MaxVersion = 2
 )
 
 // TypeHello tags the handshake frame. Tags below 0x10 are reserved for the
@@ -174,8 +167,8 @@ func appendHelloBody(dst []byte, h Hello) []byte {
 }
 
 // WriteHello sends the handshake frame for h. The frame's version field
-// carries h.Max so even a future implementation that dropped V1 can parse
-// the header.
+// carries h.Max so a peer with a different range can still parse the
+// header and refuse the handshake cleanly.
 func WriteHello(w io.Writer, h Hello) error {
 	return WriteFrame(w, h.Max, TypeHello, appendHelloBody(nil, h))
 }
