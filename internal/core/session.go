@@ -254,6 +254,31 @@ func (v view) ScanEq(rel string, pos int, val relation.Value, fn func(relation.T
 	}
 }
 
+// EqIndexed implements cq.IndexProber through the pinned snapshot only:
+// without one, or with overlay tuples for the relation (which ScanEq
+// filters by a sort and scan on every call), per-binding ScanEq probes
+// would not be index lookups.
+func (v view) EqIndexed(rel string, pos int) bool {
+	if v.snap == nil || len(v.overlay[rel]) > 0 {
+		return false
+	}
+	ix, ok := v.snap.(cq.IndexProber)
+	return ok && ix.EqIndexed(rel, pos)
+}
+
+// Count implements cq.IndexProber: the relation's cardinality in base ∪
+// overlay, counting overlay tuples that shadow base ones twice (the
+// evaluator only weighs it against a binding-set size).
+func (v view) Count(rel string) int {
+	n := len(v.overlay[rel])
+	if v.snap != nil {
+		return n + v.snap.Count(rel)
+	}
+	return n + v.base.Count(rel)
+}
+
+var _ cq.IndexProber = view{}
+
 // ShardCount implements cq.ShardedSource by forwarding the pinned
 // snapshot's sharding. It reports 0 (no fan-out) when the view has no
 // snapshot or the overlay holds tuples for the relation — the contract

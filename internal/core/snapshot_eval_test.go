@@ -156,12 +156,11 @@ func TestSessionSnapshotBindingsMatchSerial(t *testing.T) {
 func mustEqualTuples(t *testing.T, what string, want, got []relation.Tuple) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("%s: %d bindings serial vs %d snapshot-parallel", what, len(want), len(got))
+		t.Fatalf("%s: %d bindings, want %d", what, len(got), len(want))
 	}
 	for i := range want {
 		if want[i].Key() != got[i].Key() {
-			t.Fatalf("%s: binding %d differs: serial %v vs snapshot-parallel %v",
-				what, i, want[i], got[i])
+			t.Fatalf("%s: binding %d = %v, want %v", what, i, got[i], want[i])
 		}
 	}
 }

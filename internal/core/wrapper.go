@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"codb/internal/cq"
 	"codb/internal/relation"
 	"codb/internal/storage"
 )
@@ -36,6 +37,10 @@ func (w *StoreWrapper) Scan(rel string, fn func(relation.Tuple) bool) { w.db.Sca
 func (w *StoreWrapper) ScanEq(rel string, pos int, v relation.Value, fn func(relation.Tuple) bool) {
 	w.db.ScanEq(rel, pos, v, fn)
 }
+
+// EqIndexed implements cq.IndexProber: ScanEq is an index lookup only on
+// positions the engine holds a secondary index for (DB.IndexOn).
+func (w *StoreWrapper) EqIndexed(rel string, pos int) bool { return w.db.EqIndexed(rel, pos) }
 
 // Has implements Wrapper.
 func (w *StoreWrapper) Has(rel string, t relation.Tuple) bool { return w.db.Has(rel, t) }
@@ -116,4 +121,6 @@ var (
 	_ Wrapper       = (*MediatorWrapper)(nil)
 	_ ChangeTracker = (*StoreWrapper)(nil)
 	_ Snapshotter   = (*StoreWrapper)(nil)
+
+	_ cq.IndexProber = (*StoreWrapper)(nil)
 )

@@ -15,11 +15,26 @@ type Source interface {
 }
 
 // EqScanner is optionally implemented by sources that can enumerate the
-// tuples with a fixed value at one position more cheaply than a full scan
-// (the storage engine's secondary indexes do). The evaluator pushes the
-// first constant of an atom down to it when available.
+// tuples with a fixed value at one position, in tuple-key order, more
+// cheaply than a full scan (the storage engine's secondary indexes do).
+// The evaluator scans an atom that carries a constant through it, on the
+// atom's first constant position; sources that also implement IndexProber
+// additionally serve join-key probes through it.
 type EqScanner interface {
 	ScanEq(rel string, pos int, v relation.Value, fn func(relation.Tuple) bool)
+}
+
+// IndexProber is optionally implemented by EqScanners that can tell, per
+// position, whether ScanEq is a real index lookup — O(log n + matches) —
+// rather than a filtered full scan. At a join step whose key is bound, the
+// hash-join pipeline then calls ScanEq once per partial binding on an
+// indexed key position instead of hashing the whole relation, provided
+// the binding set is small next to the relation's Count (see
+// indexProbeShare).
+type IndexProber interface {
+	EqScanner
+	EqIndexed(rel string, pos int) bool
+	Count(rel string) int
 }
 
 // ShardedSource is optionally implemented by sources whose relations are
@@ -61,6 +76,12 @@ type EvalOptions struct {
 // serial: fan-out overhead (goroutines, per-worker slices) only pays off
 // against relations large enough to matter.
 const parallelMinBindings = 256
+
+// indexProbeShare bounds the index-probe access path: a join step probes
+// the source's index once per partial binding only while the binding set
+// holds at most 1/indexProbeShare of the relation's tuples. Past that, one
+// hash build over the relation is cheaper than that many index probes.
+const indexProbeShare = 8
 
 // Eval evaluates a conjunctive query over src and returns the deduplicated
 // head tuples.
@@ -134,31 +155,32 @@ func FilterCertain(ts []relation.Tuple) []relation.Tuple {
 }
 
 // binding is a partial assignment: values parallel to the compiled variable
-// list, with a bound mask.
-type binding struct {
-	vals  []relation.Value
-	bound []bool
-}
+// list. Which variables it binds follows from the plan — once atoms[0:i]
+// are joined, exactly their variables are — so it carries no bound mask.
+type binding []relation.Value
 
-func (b *binding) clone() *binding {
-	nb := &binding{vals: make([]relation.Value, len(b.vals)), bound: make([]bool, len(b.bound))}
-	copy(nb.vals, b.vals)
-	copy(nb.bound, b.bound)
+func (p *plan) newBinding() binding { return make(binding, len(p.vars)) }
+
+func (b binding) clone() binding {
+	nb := make(binding, len(b))
+	copy(nb, b)
 	return nb
 }
 
 // compiled plan over one body.
 type plan struct {
-	vars   []string
-	varIdx map[string]int
-	atoms  []patom
-	cmps   []pcmp
+	vars     []string
+	varIdx   map[string]int
+	bodyVars int // vars[:bodyVars] occur in atoms; the rest only in comparisons
+	atoms    []patom
+	cmps     []pcmp
 }
 
 type patom struct {
 	rel    string
 	varPos []int            // per term: variable index, or -1 for constant
 	consts []relation.Value // per term: constant when varPos == -1
+	binds  []bool           // per term: first occurrence of its variable in plan order
 	delta  bool             // scan the delta slice instead of src
 }
 
@@ -231,10 +253,12 @@ func compile(body []Atom, cmps []Comparison, deltaAtom *int) *plan {
 
 	for _, ai := range order {
 		a := body[ai]
-		pa := patom{rel: a.Rel, varPos: make([]int, len(a.Terms)), consts: make([]relation.Value, len(a.Terms))}
+		pa := patom{rel: a.Rel, varPos: make([]int, len(a.Terms)), consts: make([]relation.Value, len(a.Terms)), binds: make([]bool, len(a.Terms))}
 		for ti, t := range a.Terms {
 			if t.IsVar() {
+				n := len(p.vars)
 				pa.varPos[ti] = intern(t.Var)
+				pa.binds[ti] = pa.varPos[ti] == n
 			} else {
 				pa.varPos[ti] = -1
 				pa.consts[ti] = t.Const
@@ -245,6 +269,7 @@ func compile(body []Atom, cmps []Comparison, deltaAtom *int) *plan {
 		}
 		p.atoms = append(p.atoms, pa)
 	}
+	p.bodyVars = len(p.vars)
 
 	// Compile comparisons and find the earliest prefix after which each is
 	// fully bound.
@@ -297,38 +322,35 @@ func compile(body []Atom, cmps []Comparison, deltaAtom *int) *plan {
 	return p
 }
 
-func (c *pcmp) eval(b *binding) bool {
+func (c *pcmp) eval(b binding) bool {
 	l, r := c.lConst, c.rConst
 	if c.lVar >= 0 {
-		l = b.vals[c.lVar]
+		l = b[c.lVar]
 	}
 	if c.rVar >= 0 {
-		r = b.vals[c.rVar]
+		r = b[c.rVar]
 	}
 	return c.op.Eval(l, r)
 }
 
-// unify extends b with tuple t against atom pa; returns false (leaving b
-// possibly dirty — caller clones) on mismatch.
-func unify(pa *patom, t relation.Tuple, b *binding) bool {
+// unify extends b, which binds the variables of the atoms before pa, with
+// tuple t against pa. It writes only pa's binding positions (all of them
+// when it succeeds) and returns false on mismatch.
+func unify(pa *patom, t relation.Tuple, b binding) bool {
 	if len(t) != len(pa.varPos) {
 		return false
 	}
 	for i, vp := range pa.varPos {
-		if vp < 0 {
+		switch {
+		case vp < 0:
 			if t[i] != pa.consts[i] {
 				return false
 			}
-			continue
+		case pa.binds[i]:
+			b[vp] = t[i]
+		case b[vp] != t[i]:
+			return false
 		}
-		if b.bound[vp] {
-			if b.vals[vp] != t[i] {
-				return false
-			}
-			continue
-		}
-		b.bound[vp] = true
-		b.vals[vp] = t[i]
 	}
 	return true
 }
@@ -342,7 +364,7 @@ func evalProject(terms []Term, body []Atom, cmps []Comparison, src Source, delta
 		return nil, fmt.Errorf("cq: empty body")
 	}
 	p := compile(body, cmps, deltaAtom)
-	var bindings []*binding
+	var bindings []binding
 	switch opts.Strategy {
 	case NestedLoop:
 		bindings = p.evalNested(src, delta)
@@ -359,10 +381,10 @@ func evalProject(terms []Term, body []Atom, cmps []Comparison, src Source, delta
 				continue
 			}
 			vi, ok := p.varIdx[term.Var]
-			if !ok || !b.bound[vi] {
+			if !ok || vi >= p.bodyVars {
 				return nil, fmt.Errorf("cq: projection variable %s not bound", term.Var)
 			}
-			t[i] = b.vals[vi]
+			t[i] = b[vi]
 		}
 		k := t.Key()
 		if !seen[k] {
@@ -397,10 +419,10 @@ func (p *plan) scanAtom(src Source, pa *patom, delta []relation.Tuple, fn func(r
 }
 
 // evalNested is the nested-loop strategy: depth-first over atoms.
-func (p *plan) evalNested(src Source, delta []relation.Tuple) []*binding {
-	var out []*binding
-	var rec func(i int, b *binding)
-	rec = func(i int, b *binding) {
+func (p *plan) evalNested(src Source, delta []relation.Tuple) []binding {
+	var out []binding
+	var rec func(i int, b binding)
+	rec = func(i int, b binding) {
 		if i == len(p.atoms) {
 			out = append(out, b.clone())
 			return
@@ -420,17 +442,31 @@ func (p *plan) evalNested(src Source, delta []relation.Tuple) []*binding {
 			return true
 		})
 	}
-	rec(0, &binding{vals: make([]relation.Value, len(p.vars)), bound: make([]bool, len(p.vars))})
+	rec(0, p.newBinding())
 	return out
 }
 
 // evalHash is the hash-join strategy: a pipeline of partial-binding sets,
-// each atom joined via a hash table keyed on the shared bound variables.
-// With parallelism > 1, once the binding set is large each stage's probe
-// fans out over partitions of it (the build phase — one scan per atom —
-// stays serial, so sources only ever see sequential access).
-func (p *plan) evalHash(src Source, delta []relation.Tuple, parallelism int) []*binding {
-	cur := []*binding{{vals: make([]relation.Value, len(p.vars)), bound: make([]bool, len(p.vars))}}
+// extended one atom at a time. Each step picks its access path:
+//
+//   - index probe: the atom's join key is bound, the source's ScanEq is an
+//     index lookup on a key position (IndexProber), and the binding set is
+//     small next to the relation — one ScanEq per binding (probeIndex);
+//   - stream: the binding set is a single binding (the first atom, or a
+//     step after a one-row prefix) — the atom is scanned straight into
+//     bindings, constant pushdown included, with no bucket (stream);
+//   - hash build: otherwise — bucket the atom's tuples by join key
+//     (buildBuckets) and probe the buckets (probe).
+//
+// All three enumerate each binding's partners in tuple-key order (ScanEq
+// and every scan deliver it, and buckets are filled by such a scan), so
+// the answers are identical, in the same order, whichever path a step
+// takes. With parallelism > 1, once the binding set is large a hash step's
+// probe fans out over partitions of it (the build phase — one scan per
+// atom — and the other paths stay serial, so sources only ever see
+// sequential access).
+func (p *plan) evalHash(src Source, delta []relation.Tuple, parallelism int) []binding {
+	cur := []binding{p.newBinding()}
 	boundSoFar := make([]bool, len(p.vars))
 	for i := range p.atoms {
 		pa := &p.atoms[i]
@@ -441,8 +477,14 @@ func (p *plan) evalHash(src Source, delta []relation.Tuple, parallelism int) []*
 				keyTermIdx = append(keyTermIdx, ti)
 			}
 		}
-		buckets := p.buildBuckets(src, pa, delta, keyTermIdx, parallelism)
-		cur = p.probe(cur, pa, i, keyTermIdx, buckets, parallelism)
+		if ix, pos := indexProbe(src, pa, keyTermIdx, len(cur)); ix != nil {
+			cur = p.probeIndex(ix, cur, pa, i, pos)
+		} else if len(cur) == 1 {
+			cur = p.stream(src, pa, i, delta, cur[0])
+		} else {
+			buckets := p.buildBuckets(src, pa, delta, keyTermIdx, parallelism)
+			cur = p.probe(cur, pa, i, keyTermIdx, buckets, parallelism)
+		}
 		for _, vp := range pa.varPos {
 			if vp >= 0 {
 				boundSoFar[vp] = true
@@ -455,9 +497,85 @@ func (p *plan) evalHash(src Source, delta []relation.Tuple, parallelism int) []*
 	return cur
 }
 
-// buildBuckets is the hash-join build phase for one atom: bucket the
-// atom's tuples by join key (also filtering constants; intra-atom repeated
-// variables are re-checked via unify at probe time). When the source
+// extend unifies t into scratch — a copy of the partial binding being
+// extended — and applies the comparisons decidable once atom atomIdx is
+// joined. unify writes only the atom's binding positions, all of them on
+// success, so scratch stays a copy of that binding everywhere else and
+// needs no reset between candidates: every probe path matches its
+// candidates into one scratch binding this way and clones only survivors.
+func (p *plan) extend(pa *patom, atomIdx int, scratch binding, t relation.Tuple) bool {
+	if !unify(pa, t, scratch) {
+		return false
+	}
+	for ci := range p.cmps {
+		if p.cmps[ci].lastVarAtoms == atomIdx+1 && !p.cmps[ci].eval(scratch) {
+			return false
+		}
+	}
+	return true
+}
+
+// stream joins an atom onto a single partial binding by scanning it
+// straight into bindings: the scan is scanAtom's (delta slice or constant
+// pushdown), so its order is the order a bucket filled by that scan has.
+func (p *plan) stream(src Source, pa *patom, atomIdx int, delta []relation.Tuple, b binding) []binding {
+	var next []binding
+	scratch := b.clone()
+	p.scanAtom(src, pa, delta, func(t relation.Tuple) bool {
+		if p.extend(pa, atomIdx, scratch, t) {
+			next = append(next, scratch.clone())
+		}
+		return true
+	})
+	return next
+}
+
+// indexProbe picks the index-probe access path for a join step: it returns
+// the source and the atom position to probe, or nil to keep the hash
+// build. The step qualifies when the atom reads the source (not the delta
+// slice), some bound key position is indexed, and the binding set holds at
+// most 1/indexProbeShare of the relation.
+func indexProbe(src Source, pa *patom, keyTermIdx []int, nBindings int) (IndexProber, int) {
+	ix, ok := src.(IndexProber)
+	if !ok || pa.delta {
+		return nil, -1
+	}
+	for _, ti := range keyTermIdx {
+		if ix.EqIndexed(pa.rel, ti) {
+			if nBindings*indexProbeShare > ix.Count(pa.rel) {
+				return nil, -1
+			}
+			return ix, ti
+		}
+	}
+	return nil, -1
+}
+
+// probeIndex extends every partial binding through one ScanEq on the
+// bound key position pos; unify re-checks the rest of the atom. ScanEq
+// yields the matches in tuple-key order, the order of the bucket a hash
+// build would have filled.
+func (p *plan) probeIndex(ix EqScanner, cur []binding, pa *patom, atomIdx, pos int) []binding {
+	var next []binding
+	scratch := p.newBinding()
+	fn := func(t relation.Tuple) bool {
+		if p.extend(pa, atomIdx, scratch, t) {
+			next = append(next, scratch.clone())
+		}
+		return true
+	}
+	vp := pa.varPos[pos]
+	for _, b := range cur {
+		copy(scratch, b)
+		ix.ScanEq(pa.rel, pos, b[vp], fn)
+	}
+	return next
+}
+
+// buildBuckets is the build phase of a hash step — taken when neither an
+// index probe nor streaming applies: bucket the atom's tuples by join key
+// (also filtering constants; intra-atom repeated variables are re-checked
+// via unify at probe time). When the source
 // exposes hash-sharded relations (ShardedSource — storage snapshots do)
 // and parallelism allows, the scan fans out across shards on a worker
 // pool; each bucket is then re-sorted into tuple order, so the bucket
@@ -549,7 +667,7 @@ func shardableScan(src Source, pa *patom, delta []relation.Tuple, parallelism in
 // buckets and the plan are read-only during the probe, each worker appends
 // to its own output, and outputs concatenate in partition order, so the
 // result is bit-identical to the serial probe.
-func (p *plan) probe(cur []*binding, pa *patom, atomIdx int, keyTermIdx []int, buckets map[string][]relation.Tuple, parallelism int) []*binding {
+func (p *plan) probe(cur []binding, pa *patom, atomIdx int, keyTermIdx []int, buckets map[string][]relation.Tuple, parallelism int) []binding {
 	workers := parallelism
 	if limit := len(cur) / parallelMinBindings; workers > limit {
 		workers = limit
@@ -557,7 +675,7 @@ func (p *plan) probe(cur []*binding, pa *patom, atomIdx int, keyTermIdx []int, b
 	if workers <= 1 {
 		return p.probeRange(cur, pa, atomIdx, keyTermIdx, buckets)
 	}
-	parts := make([][]*binding, workers)
+	parts := make([][]binding, workers)
 	var wg sync.WaitGroup
 	chunk := (len(cur) + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -577,7 +695,7 @@ func (p *plan) probe(cur []*binding, pa *patom, atomIdx int, keyTermIdx []int, b
 	for _, part := range parts {
 		total += len(part)
 	}
-	next := make([]*binding, 0, total)
+	next := make([]binding, 0, total)
 	for _, part := range parts {
 		next = append(next, part...)
 	}
@@ -585,27 +703,19 @@ func (p *plan) probe(cur []*binding, pa *patom, atomIdx int, keyTermIdx []int, b
 }
 
 // probeRange is the serial probe over one partition of the binding set.
-func (p *plan) probeRange(cur []*binding, pa *patom, atomIdx int, keyTermIdx []int, buckets map[string][]relation.Tuple) []*binding {
-	var next []*binding
+func (p *plan) probeRange(cur []binding, pa *patom, atomIdx int, keyTermIdx []int, buckets map[string][]relation.Tuple) []binding {
+	var next []binding
+	scratch := p.newBinding()
+	var kb []byte
 	for _, b := range cur {
-		var kb []byte
+		kb = kb[:0]
 		for _, ti := range keyTermIdx {
-			kb = relation.EncodeValue(kb, b.vals[pa.varPos[ti]])
+			kb = relation.EncodeValue(kb, b[pa.varPos[ti]])
 		}
+		copy(scratch, b)
 		for _, t := range buckets[string(kb)] {
-			nb := b.clone()
-			if !unify(pa, t, nb) {
-				continue
-			}
-			ok := true
-			for ci := range p.cmps {
-				if p.cmps[ci].lastVarAtoms == atomIdx+1 && !p.cmps[ci].eval(nb) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				next = append(next, nb)
+			if p.extend(pa, atomIdx, scratch, t) {
+				next = append(next, scratch.clone())
 			}
 		}
 	}

@@ -356,7 +356,7 @@ func TestQuickStrategiesAgree(t *testing.T) {
 				in.Insert(rel, t)
 			}
 		}
-		q := randomQuery(r)
+		q := randomQuery(r, smallInt)
 		hash, err1 := Eval(q, in, EvalOptions{Strategy: HashJoin})
 		nested, err2 := Eval(q, in, EvalOptions{Strategy: NestedLoop})
 		if err1 != nil || err2 != nil {
@@ -375,23 +375,23 @@ func TestQuickStrategiesAgree(t *testing.T) {
 	}
 }
 
-// randomQuery builds a random safe query over relations p/1, q/2, r/3 with
-// variables drawn from a small pool, plus occasional constants and
-// comparisons.
-func randomQuery(rnd *rand.Rand) *Query {
+// smallInt draws a constant from the int domain of the random instances.
+func smallInt(rnd *rand.Rand) relation.Value { return relation.Int(rnd.Intn(4)) }
+
+// randomQuery builds a random safe query over relations p/1, q/2, r/3: up
+// to four atoms with variables drawn from a small pool (self-joins and
+// repeated variables), occasional constants drawn from value, and up to
+// two comparisons against constants or between variables.
+func randomQuery(rnd *rand.Rand, value func(*rand.Rand) relation.Value) *Query {
 	pool := []string{"a", "b", "c", "d"}
-	rels := []struct {
-		name  string
-		arity int
-	}{{"p", 1}, {"q", 2}, {"r", 3}}
-	nAtoms := rnd.Intn(3) + 1
+	nAtoms := rnd.Intn(4) + 1
 	var body []Atom
 	for i := 0; i < nAtoms; i++ {
-		rel := rels[rnd.Intn(len(rels))]
+		rel := accessRels[rnd.Intn(len(accessRels))]
 		terms := make([]Term, rel.arity)
 		for j := range terms {
 			if rnd.Intn(5) == 0 {
-				terms[j] = C(relation.Int(rnd.Intn(4)))
+				terms[j] = C(value(rnd))
 			} else {
 				terms[j] = V(pool[rnd.Intn(len(pool))])
 			}
@@ -414,25 +414,38 @@ func randomQuery(rnd *rand.Rand) *Query {
 		}
 	}
 	var cmps []Comparison
-	if len(bodyVars) > 0 && rnd.Intn(2) == 0 {
-		ops := []CmpOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
+	ops := []CmpOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
+	for n := rnd.Intn(3); n > 0 && len(bodyVars) > 0; n-- {
+		r := C(value(rnd))
+		if rnd.Intn(2) == 0 {
+			r = V(bodyVars[rnd.Intn(len(bodyVars))])
+		}
 		cmps = append(cmps, Comparison{
 			Op: ops[rnd.Intn(len(ops))],
 			L:  V(bodyVars[rnd.Intn(len(bodyVars))]),
-			R:  C(relation.Int(rnd.Intn(4))),
+			R:  r,
 		})
 	}
 	return &Query{Head: head, Body: body, Cmps: cmps}
 }
 
-// eqSpy wraps an instance and records ScanEq pushdown calls.
+// eqSpy wraps an instance and records its full scans and the position of
+// every ScanEq call. As an IndexProber it reports the positions in indexed
+// as index lookups.
 type eqSpy struct {
 	relation.Instance
-	calls int
+	indexed map[int]bool
+	scans   int
+	eqPos   []int
+}
+
+func (s *eqSpy) Scan(rel string, fn func(relation.Tuple) bool) {
+	s.scans++
+	s.Instance.Scan(rel, fn)
 }
 
 func (s *eqSpy) ScanEq(rel string, pos int, v relation.Value, fn func(relation.Tuple) bool) {
-	s.calls++
+	s.eqPos = append(s.eqPos, pos)
 	s.Instance.Scan(rel, func(t relation.Tuple) bool {
 		if len(t) > pos && t[pos] == v {
 			return fn(t)
@@ -440,6 +453,10 @@ func (s *eqSpy) ScanEq(rel string, pos int, v relation.Value, fn func(relation.T
 		return true
 	})
 }
+
+func (s *eqSpy) EqIndexed(_ string, pos int) bool { return s.indexed[pos] }
+
+func (s *eqSpy) Count(rel string) int { return len(s.Instance[rel]) }
 
 func TestEvalConstantPushdown(t *testing.T) {
 	spy := &eqSpy{Instance: testInstance()}
@@ -451,7 +468,7 @@ func TestEvalConstantPushdown(t *testing.T) {
 	if len(got) != 2 {
 		t.Errorf("answers = %v", got)
 	}
-	if spy.calls == 0 {
+	if len(spy.eqPos) == 0 {
 		t.Error("constant was not pushed down to the EqScanner")
 	}
 	// Correctness must match the plain-source evaluation.
@@ -464,8 +481,8 @@ func TestEvalConstantPushdown(t *testing.T) {
 	if _, err := Eval(MustParseQuery(`ans(x) :- emp(x, n, d)`), spy2, EvalOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if spy2.calls != 0 {
-		t.Errorf("pushdown used without constants (%d calls)", spy2.calls)
+	if len(spy2.eqPos) != 0 {
+		t.Errorf("pushdown used without constants (%d calls)", len(spy2.eqPos))
 	}
 }
 

@@ -194,7 +194,7 @@ func TestQueryStringRoundTrip(t *testing.T) {
 func TestQuickQueryPrintParseRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
-		q := randomQuery(rnd)
+		q := randomQuery(rnd, smallInt)
 		if q.Validate() != nil {
 			return true // generator may emit all-constant heads; skip
 		}

@@ -140,7 +140,8 @@ func TestShardedOpsAgainstModel(t *testing.T) {
 }
 
 // TestShardCountsAgree runs one deterministic trace at every shard count:
-// scans, counts, tuples, instances and range scans must be identical.
+// merged scans and indexed ScanEq must deliver identical keys in identical
+// order.
 func TestShardCountsAgree(t *testing.T) {
 	build := func(shards int) *DB {
 		db := openShards(t, shards)
@@ -157,12 +158,17 @@ func TestShardCountsAgree(t *testing.T) {
 	}
 	ref := build(1)
 	refKeys := scanKeys(t, ref, "emp")
-	lo, hi := relation.Int(20), relation.Int(90)
-	var refRange []string
-	ref.ScanRange("emp", 0, &lo, &hi, func(tp relation.Tuple) bool {
-		refRange = append(refRange, tp.Key())
-		return true
-	})
+	eqKeys := func(db *DB) []string {
+		var keys []string
+		for _, name := range []string{"p0", "p3", "p9"} {
+			db.ScanEq("emp", 1, relation.Str(name), func(tp relation.Tuple) bool {
+				keys = append(keys, tp.Key())
+				return true
+			})
+		}
+		return keys
+	}
+	refEq := eqKeys(ref)
 	for _, shards := range []int{2, 5, 16} {
 		db := build(shards)
 		keys := scanKeys(t, db, "emp")
@@ -174,18 +180,14 @@ func TestShardCountsAgree(t *testing.T) {
 				t.Fatalf("shards=%d: key %d diverges", shards, i)
 			}
 		}
-		db.IndexOn("emp", "id")
-		var got []string
-		db.ScanRange("emp", 0, &lo, &hi, func(tp relation.Tuple) bool {
-			got = append(got, tp.Key())
-			return true
-		})
-		if len(got) != len(refRange) {
-			t.Fatalf("shards=%d: indexed range %d rows, ref %d", shards, len(got), len(refRange))
+		db.IndexOn("emp", "name")
+		got := eqKeys(db)
+		if len(got) != len(refEq) {
+			t.Fatalf("shards=%d: indexed ScanEq %d rows, ref %d", shards, len(got), len(refEq))
 		}
 		for i := range got {
-			if got[i] != refRange[i] {
-				t.Fatalf("shards=%d: range row %d diverges", shards, i)
+			if got[i] != refEq[i] {
+				t.Fatalf("shards=%d: ScanEq row %d diverges", shards, i)
 			}
 		}
 	}

@@ -322,6 +322,14 @@ func (s *Snapshot) ScanEq(rel string, pos int, v relation.Value, fn func(relatio
 	}
 }
 
+// EqIndexed reports whether ScanEq on the position is an index lookup:
+// always, for an existing relation and position, since every position's
+// secondary view is built on first use. Implements cq.IndexProber.
+func (s *Snapshot) EqIndexed(rel string, pos int) bool {
+	t, ok := s.tables[rel]
+	return ok && pos >= 0 && pos < t.def.Arity()
+}
+
 // Tuples returns all tuples of the relation as of the snapshot, in key
 // order. The tuples are shared with the snapshot (immutable); the slice is
 // fresh.

@@ -329,7 +329,8 @@ func (db *DB) DefineSchema(s *relation.Schema) error {
 }
 
 // IndexOn creates a secondary index over one attribute of a relation
-// (maintained per shard), enabling ScanEq/ScanRange on that attribute.
+// (maintained per shard), turning ScanEq on that attribute from a filtered
+// full scan into an index lookup.
 // Idempotent.
 func (db *DB) IndexOn(rel, attr string) error {
 	db.mu.Lock()
@@ -424,10 +425,24 @@ func (t *table) scanLocked(fn func(relation.Tuple) bool) {
 	})
 }
 
+// EqIndexed reports whether ScanEq on the position is an index lookup,
+// i.e. whether IndexOn built a secondary index on it; otherwise ScanEq is
+// a filtered full scan. Implements cq.IndexProber.
+func (db *DB) EqIndexed(rel string, pos int) bool {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	t := db.tables[rel]
+	if t == nil {
+		return false
+	}
+	_, ok := t.shards[0].second[pos]
+	return ok
+}
+
 // ScanEq scans tuples whose attribute at position pos equals v, using the
 // per-shard secondary indexes when they exist and a full merged scan
-// otherwise. Either way tuples arrive in a deterministic order (secondary:
-// by attr value ‖ tuple key; fallback: global key order).
+// otherwise. Either way tuples arrive in tuple-key order (a secondary key
+// is attr value ‖ tuple key, and the value is fixed).
 func (db *DB) ScanEq(rel string, pos int, v relation.Value, fn func(relation.Tuple) bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -457,69 +472,6 @@ func (db *DB) ScanEq(rel string, pos int, v relation.Value, fn func(relation.Tup
 		}
 		return true
 	})
-}
-
-// ScanRange scans tuples whose attribute at position pos lies within the
-// given bounds (each bound optional: nil means unbounded; inclusive).
-// With a secondary index on the attribute the scan touches only the range;
-// otherwise it falls back to a filtered merged scan.
-func (db *DB) ScanRange(rel string, pos int, lo, hi *relation.Value, fn func(relation.Tuple) bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t := db.tables[rel]
-	if t == nil || pos < 0 || pos >= t.def.Arity() {
-		return
-	}
-	t.rlockAll()
-	defer t.runlockAll()
-	if _, ok := t.shards[0].second[pos]; ok {
-		from, to := "", ""
-		if lo != nil {
-			from = string(relation.EncodeValue(nil, *lo))
-		}
-		if hi != nil {
-			to = prefixSuccessor(string(relation.EncodeValue(nil, *hi)))
-		}
-		iters := make([]*btreeIter, len(t.shards))
-		for i, s := range t.shards {
-			iters[i] = s.second[pos].Iter(from)
-		}
-		mergeAscend(iters, func(si int, key string, slot int) bool {
-			if to != "" && key >= to {
-				return false
-			}
-			return fn(t.shards[si].rows[slot])
-		})
-		return
-	}
-	within := func(v relation.Value) bool {
-		if lo != nil && v.Compare(*lo) < 0 {
-			return false
-		}
-		if hi != nil && v.Compare(*hi) > 0 {
-			return false
-		}
-		return true
-	}
-	t.scanLocked(func(tp relation.Tuple) bool {
-		if within(tp[pos]) {
-			return fn(tp)
-		}
-		return true
-	})
-}
-
-// prefixSuccessor returns the smallest string greater than every string
-// with the given prefix ("" when no such string exists).
-func prefixSuccessor(p string) string {
-	b := []byte(p)
-	for i := len(b) - 1; i >= 0; i-- {
-		if b[i] != 0xFF {
-			b[i]++
-			return string(b[:i+1])
-		}
-	}
-	return ""
 }
 
 // Tuples returns a copied slice of all tuples in the relation, in key order.

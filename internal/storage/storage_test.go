@@ -194,8 +194,19 @@ func TestSecondaryIndexScanEq(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		db.Insert("emp", emp(i, fmt.Sprintf("name%d", i%10)))
 	}
+	if db.EqIndexed("emp", 1) {
+		t.Error("EqIndexed before IndexOn")
+	}
 	if err := db.IndexOn("emp", "name"); err != nil {
 		t.Fatal(err)
+	}
+	if !db.EqIndexed("emp", 1) || db.EqIndexed("emp", 0) || db.EqIndexed("ghost", 1) {
+		t.Error("EqIndexed must hold exactly for the indexed attribute")
+	}
+	// A snapshot's ScanEq is an index lookup on every position.
+	snap := db.Snapshot()
+	if !snap.EqIndexed("emp", 0) || !snap.EqIndexed("emp", 1) || snap.EqIndexed("emp", 2) || snap.EqIndexed("ghost", 0) {
+		t.Error("snapshot EqIndexed must hold exactly for the relation's positions")
 	}
 	var got []int64
 	db.ScanEq("emp", 1, relation.Str("name3"), func(tp relation.Tuple) bool {
@@ -231,85 +242,6 @@ func TestSecondaryIndexScanEq(t *testing.T) {
 	}
 	if err := db.IndexOn("ghost", "x"); err == nil {
 		t.Error("IndexOn unknown relation accepted")
-	}
-}
-
-func TestScanRange(t *testing.T) {
-	db := newEmpDB(t)
-	for i := 0; i < 100; i++ {
-		db.Insert("emp", emp(i, fmt.Sprintf("p%02d", i)))
-	}
-	lo, hi := relation.Int(10), relation.Int(19)
-	count := func() int {
-		n := 0
-		db.ScanRange("emp", 0, &lo, &hi, func(tp relation.Tuple) bool {
-			if tp[0].Int < 10 || tp[0].Int > 19 {
-				t.Errorf("out-of-range tuple %v", tp)
-			}
-			n++
-			return true
-		})
-		return n
-	}
-	// Unindexed path.
-	if got := count(); got != 10 {
-		t.Errorf("unindexed range = %d, want 10", got)
-	}
-	// Indexed path must agree.
-	if err := db.IndexOn("emp", "id"); err != nil {
-		t.Fatal(err)
-	}
-	if got := count(); got != 10 {
-		t.Errorf("indexed range = %d, want 10", got)
-	}
-	// Open bounds.
-	n := 0
-	db.ScanRange("emp", 0, &lo, nil, func(relation.Tuple) bool { n++; return true })
-	if n != 90 {
-		t.Errorf("lo-only range = %d, want 90", n)
-	}
-	n = 0
-	db.ScanRange("emp", 0, nil, &hi, func(relation.Tuple) bool { n++; return true })
-	if n != 20 {
-		t.Errorf("hi-only range = %d, want 20", n)
-	}
-	n = 0
-	db.ScanRange("emp", 0, nil, nil, func(relation.Tuple) bool { n++; return true })
-	if n != 100 {
-		t.Errorf("unbounded range = %d, want 100", n)
-	}
-	// Early stop.
-	n = 0
-	db.ScanRange("emp", 0, &lo, &hi, func(relation.Tuple) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Errorf("early stop visited %d", n)
-	}
-	// String attribute ranges on the indexed path.
-	sLo, sHi := relation.Str("p50"), relation.Str("p59")
-	db.IndexOn("emp", "name")
-	n = 0
-	db.ScanRange("emp", 1, &sLo, &sHi, func(relation.Tuple) bool { n++; return true })
-	if n != 10 {
-		t.Errorf("string range = %d, want 10", n)
-	}
-	// Bad relation / position are no-ops.
-	db.ScanRange("ghost", 0, nil, nil, func(relation.Tuple) bool { t.Error("visited"); return false })
-	db.ScanRange("emp", 9, nil, nil, func(relation.Tuple) bool { t.Error("visited"); return false })
-}
-
-func TestPrefixSuccessor(t *testing.T) {
-	cases := map[string]string{
-		"abc":             "abd",
-		"ab\xff":          "ac",
-		"\xff\xff":        "",
-		"":                "",
-		"a\xff\xff":       "b",
-		string([]byte{0}): string([]byte{1}),
-	}
-	for in, want := range cases {
-		if got := prefixSuccessor(in); got != want {
-			t.Errorf("prefixSuccessor(%q) = %q, want %q", in, got, want)
-		}
 	}
 }
 
